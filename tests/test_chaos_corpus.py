@@ -41,6 +41,8 @@ def test_corpus_entry_replays_deterministically(path):
     assert first["digest"] == second["digest"], \
         "replaying the same (spec, seed) must be bit-stable"
     assert first["coverage"] == second["coverage"]
+    assert first["digest"] == meta["digest"], \
+        "replay must reproduce the digest recorded when the entry was saved"
 
 
 @pytest.mark.parametrize("path", ENTRY_FILES, ids=lambda p: p.stem)
