@@ -36,7 +36,6 @@ from repro.obs.coverage import coverage_summary  # noqa: E402
 def build_tasks(scenarios: List[str], arms: List[str], seed: int,
                 repeats: int, capacity: int,
                 journal_dir: str | None,
-                parallel_regions: int = 0,
                 file_specs: Dict[str, Dict[str, Any]] | None = None
                 ) -> List[Dict[str, Any]]:
     tasks: List[Dict[str, Any]] = []
@@ -47,8 +46,6 @@ def build_tasks(scenarios: List[str], arms: List[str], seed: int,
                                           "seed": seed, "capacity": capacity}
                 if file_specs and name in file_specs:
                     kwargs["spec"] = file_specs[name]
-                if parallel_regions:
-                    kwargs["parallel_regions"] = parallel_regions
                 if journal_dir:
                     kwargs["journal_path"] = str(
                         Path(journal_dir)
@@ -88,14 +85,9 @@ def main() -> int:
                         help="run cells inline in this process")
     parser.add_argument("--output", default=None,
                         help="write the JSON report to this path")
-    parser.add_argument("--parallel-regions", type=int, default=0,
-                        metavar="N",
-                        help="run each scenario's regions under the PDES "
-                             "coordinator with N region threads (0 = off); "
-                             "digest parity across repeats still applies")
     parser.add_argument("--check-trace", action="store_true",
-                        help="fail (exit 1) on any invariant violation or "
-                             "digest divergence")
+                        help="fail (exit 1) on any invariant violation, "
+                             "digest divergence or truncated journal")
     parser.add_argument("--list", action="store_true",
                         help="list the scenario library and exit")
     args = parser.parse_args()
@@ -137,11 +129,9 @@ def main() -> int:
     repeats = 1 if args.no_repeat else 2
     tasks = build_tasks(scenarios, args.arms, args.seed, repeats,
                         args.capacity, args.journal_dir,
-                        parallel_regions=args.parallel_regions,
                         file_specs=file_specs)
-    report = runner.run_experiments(
-        tasks, processes=args.processes, serial=args.serial,
-        workers_per_task=max(1, args.parallel_regions))
+    report = runner.run_experiments(tasks, processes=args.processes,
+                                    serial=args.serial)
 
     cells = report["figures"]["chaos"]["tasks"]
     failures = 0
@@ -151,14 +141,15 @@ def main() -> int:
                          for attempt in range(1, repeats + 1)]
             digests = {h["digest"] for h in headlines}
             violations = [v for h in headlines for v in h["violations"]]
-            ok = len(digests) == 1 and not violations
+            dropped = max(h["dropped"] for h in headlines)
+            ok = len(digests) == 1 and not violations and not dropped
             mark = "ok " if ok else "FAIL"
             first = headlines[0]
             print(f"{mark} {name:36s} {arm:8s} "
                   f"digest={sorted(digests)[0][:12]} "
                   f"faults={first['faults']} recovers={first['recovers']} "
                   f"ready={first['ready_fraction']:.2f} "
-                  f"violations={len(violations)}")
+                  f"violations={len(violations)} dropped={dropped}")
             print(f"     coverage: "
                   f"{coverage_summary(frozenset(first.get('coverage', ())))}")
             if len(digests) > 1:
@@ -166,6 +157,11 @@ def main() -> int:
                 print(f"::error title=chaos determinism::{name}:{arm} "
                       f"journal digests diverged across repeats: "
                       f"{sorted(digests)}")
+            if dropped:
+                failures += 1
+                print(f"::error title=chaos truncation::{name}:{arm} "
+                      f"journal ring dropped {dropped} record(s); raise "
+                      f"--capacity (now {args.capacity})")
             for violation in violations:
                 failures += 1
                 print(f"::error title=chaos invariant::{name}:{arm} "

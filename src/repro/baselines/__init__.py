@@ -2,13 +2,10 @@
 
 from .consistent_hashing import ConsistentHashRing
 from .pinned import PinnedAllocator, modulo_placement, ring_placement
-from .static_sharding import ReshardingImpact, StaticSharding
 
 __all__ = [
     "ConsistentHashRing",
     "PinnedAllocator",
-    "ReshardingImpact",
-    "StaticSharding",
     "modulo_placement",
     "ring_placement",
 ]

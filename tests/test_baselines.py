@@ -10,43 +10,43 @@ from repro.baselines.pinned import (
     modulo_placement,
     ring_placement,
 )
-from repro.baselines.static_sharding import StaticSharding
 from repro.cluster.topology import Machine
 from repro.core.allocator import ServerRecord
 from repro.core.shard_map import AssignmentTable, ReplicaState, Role
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 
 
-class TestStaticSharding:
-    def test_modulo_routing(self):
-        sharding = StaticSharding(10)
-        assert sharding.task_for_key(0) == 0
-        assert sharding.task_for_key(25) == 5
+SERVERS = [f"s{i}" for i in range(20)]
 
-    def test_invalid_task_count(self):
-        with pytest.raises(ValueError):
-            StaticSharding(0)
+
+def modulo_moved_fraction(keys, before, after):
+    """Fraction of ``keys`` whose static-modulo owner changes when the
+    server count goes from ``before`` to ``after``."""
+    moved = sum(1 for key in keys
+                if modulo_placement(key, "", SERVERS[:before])
+                != modulo_placement(key, "", SERVERS[:after]))
+    return moved / len(keys)
+
+
+class TestModuloPlacement:
+    def test_modulo_routing(self):
+        assert modulo_placement(0, "", SERVERS[:10]) == "s0"
+        assert modulo_placement(25, "", SERVERS[:10]) == "s5"
 
     def test_resharding_moves_most_keys(self):
-        sharding = StaticSharding(10)
-        keys = list(range(10_000))
-        impact = sharding.reshard(11, keys)
-        assert impact.moved_fraction > 0.8  # co-prime resize moves ~all
-        assert sharding.total_tasks == 11
+        # Co-prime resize moves nearly every key.
+        assert modulo_moved_fraction(range(10_000), 10, 11) > 0.8
 
     def test_resharding_to_multiple_moves_fewer(self):
-        sharding = StaticSharding(10)
-        keys = list(range(10_000))
-        impact = sharding.reshard(20, keys)
-        assert impact.moved_fraction == pytest.approx(0.5, abs=0.02)
-
-    def test_reshard_needs_samples(self):
-        with pytest.raises(ValueError):
-            StaticSharding(10).reshard(11, [])
+        assert modulo_moved_fraction(range(10_000), 10, 20) == \
+            pytest.approx(0.5, abs=0.02)
 
     def test_load_distribution_uniform_for_sequential_keys(self):
-        sharding = StaticSharding(10)
-        counts = sharding.load_distribution(range(1000))
+        counts = {}
+        for key in range(1000):
+            owner = modulo_placement(key, "", SERVERS[:10])
+            counts[owner] = counts.get(owner, 0) + 1
+        assert sorted(counts) == sorted(SERVERS[:10])
         assert all(count == 100 for count in counts.values())
 
 
@@ -138,8 +138,7 @@ class TestConsistentHashRing:
     def test_static_vs_consistent_on_resize(self):
         """The §2.2.1 comparison: consistent hashing's churn advantage."""
         keys = list(range(10_000))
-        static = StaticSharding(10)
-        static_moved = static.reshard(11, keys).moved_fraction
+        static_moved = modulo_moved_fraction(keys, 10, 11)
         ring = ConsistentHashRing([f"n{i}" for i in range(10)],
                                   virtual_nodes=200)
         ch_moved = ring.movement_on_change(keys, add=["n10"])

@@ -84,6 +84,15 @@ class TestScenarioEngine:
         assert any(v["invariant"] == "fault-recovery"
                    for v in result.violations)
 
+    def test_truncated_journal_fails_the_run(self):
+        spec = get("crash_single")
+        truncated = run_scenario(spec, arm="sm", seed=42, capacity=1024)
+        assert truncated.dropped > 0
+        assert not truncated.ok
+        full = run_scenario(spec, arm="sm", seed=42)
+        assert full.dropped == 0
+        assert full.ok, full.violations
+
     def test_unknown_arm_rejected(self):
         spec = small_spec([])
         with pytest.raises(KeyError):

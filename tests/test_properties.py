@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.consistent_hashing import ConsistentHashRing
-from repro.baselines.static_sharding import StaticSharding
+from repro.baselines.pinned import modulo_placement
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.metrics.timeseries import RateWindow, percentile
 from repro.replication.paxos import Acceptor, Ballot, Proposer
@@ -96,11 +96,11 @@ def test_solver_never_overflows_capacity_on_ok_servers(seed):
                   min_size=1, max_size=50),
 )
 def test_static_sharding_is_total_and_stable(total_tasks, keys):
-    sharding = StaticSharding(total_tasks)
+    servers = [f"s{i}" for i in range(total_tasks)]
     for key in keys:
-        task = sharding.task_for_key(key)
-        assert 0 <= task < total_tasks
-        assert sharding.task_for_key(key) == task
+        owner = modulo_placement(key, "", servers)
+        assert owner in servers
+        assert modulo_placement(key, "", servers) == owner
 
 
 @settings(max_examples=20, deadline=None)
