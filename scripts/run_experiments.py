@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Run the figure experiments (optionally in parallel) and write BENCH_sim.json.
+"""Run the figure experiments (optionally in parallel) and print the report.
 
 Fans the independent experiment arms over a process pool (they share no
 state — each builds its own engine and RNG substreams from an explicit
-seed) and records per-figure wall-clock and events/second.  With
-``--baseline`` the report also embeds the pre-optimization numbers and
-per-figure speedups.
+seed) and prints per-figure wall-clock and events/second as JSON.  This
+is the ad-hoc sweep and trace tool; the gated ``figures`` section of
+BENCH_sim.json comes from ``scripts/bench.py``.
 
 Examples::
 
     PYTHONPATH=src python scripts/run_experiments.py
     PYTHONPATH=src python scripts/run_experiments.py --smoke --serial
     PYTHONPATH=src python scripts/run_experiments.py \
-        --figures fig17 fig19 --processes 4 --output BENCH_sim.json \
-        --baseline benchmarks/baseline_sim.json
+        --figures fig17 fig19 --processes 4
     PYTHONPATH=src python scripts/run_experiments.py --smoke \
         --trace-figure fig17:sm --trace trace_fig17.json \
         --journal trace_fig17.jsonl --check-trace
@@ -33,7 +32,7 @@ from repro.experiments import runner  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="parallel experiment sweep -> BENCH_sim.json")
+        description="parallel experiment sweep and traced runs")
     parser.add_argument("--figures", nargs="*", default=None,
                         help="subset of figures to run (default: all)")
     parser.add_argument("--processes", type=int, default=None,
@@ -47,10 +46,6 @@ def main() -> int:
                         help="traffic engine for the request-driven "
                              "figures (fig17/fig18): per-request events "
                              "or the hybrid fluid engine")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report to this path")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to embed and compare against")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="run ONE figure traced and write a Chrome/"
                              "Perfetto trace JSON to this path")
@@ -93,14 +88,7 @@ def main() -> int:
 
     report = runner.run_experiments(tasks, processes=args.processes,
                                     serial=args.serial)
-    if args.baseline:
-        runner.attach_baseline(report, args.baseline)
-
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"wrote {args.output}")
-    print(text)
+    print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
 

@@ -1,19 +1,16 @@
 #!/usr/bin/env python
-"""Coverage-guided chaos fuzzing: search, replay, distill, benchmark.
+"""Coverage-guided chaos fuzzing: search, replay, distill.
 
 Runs the :mod:`repro.chaos.fuzz` engine over the fault-action
 vocabulary.  The search is deterministic — ``(seed, budget, config)``
-fully decides which specs run under which run-seeds, so
-``--determinism-check`` (run the whole search twice, compare the corpus
-coverage-key set and every per-spec journal digest) is cheap insurance
-rather than a flaky hope.
+fully decides which specs run under which run-seeds.  The gated,
+run-twice determinism check and the ``fuzz`` section of BENCH_sim.json
+come from ``scripts/bench.py --only fuzz``.
 
 Examples::
 
     PYTHONPATH=src python scripts/run_fuzz.py --budget 200 --seed 42 \
-        --corpus-dir fuzz_corpus --output BENCH_sim.json
-    PYTHONPATH=src python scripts/run_fuzz.py --budget 120 \
-        --determinism-check
+        --corpus-dir fuzz_corpus
     PYTHONPATH=src python scripts/run_fuzz.py \
         --replay tests/fixtures/chaos_corpus/*.json
     PYTHONPATH=src python scripts/run_fuzz.py --budget 300 \
@@ -137,12 +134,6 @@ def main() -> int:
                              "novelty entries to minimal coverage repros")
     parser.add_argument("--distill-dir", default="fuzz_distilled",
                         help="where --distill writes its entries")
-    parser.add_argument("--determinism-check", action="store_true",
-                        help="run the search twice; fail on any "
-                             "coverage-set or digest divergence")
-    parser.add_argument("--output", default=None,
-                        help="merge a `fuzz` section into this "
-                             "BENCH_sim.json")
     args = parser.parse_args()
 
     if args.replay is not None:
@@ -178,25 +169,6 @@ def main() -> int:
               f"{sorted(entry.violated)}: "
               f"{[(a.kind, a.at) for a in entry.spec.actions]}")
 
-    if args.determinism_check:
-        second = FuzzEngine(config).run()
-        if second.coverage_set() != keys:
-            failures += 1
-            diff = sorted(second.coverage_set() ^ keys)
-            print(f"::error title=fuzz determinism::coverage-key set "
-                  f"diverged across identical runs: {diff}")
-        mismatched = {fp: (d, second.digests().get(fp))
-                      for fp, d in result.digests().items()
-                      if second.digests().get(fp) != d}
-        if mismatched:
-            failures += 1
-            print(f"::error title=fuzz determinism::journal digests "
-                  f"diverged for {sorted(mismatched)[:4]}...")
-        if second.coverage_set() == keys and not mismatched:
-            print(f"determinism check: coverage set and all "
-                  f"{len(result.digests())} digests identical across "
-                  f"two searches")
-
     if args.corpus_dir:
         paths = result.corpus.save(args.corpus_dir)
         print(f"saved {len(paths)} corpus entries to {args.corpus_dir}")
@@ -208,29 +180,6 @@ def main() -> int:
     if args.distill:
         distill(result, args.distill, Path(args.distill_dir), args.arm,
                 args.capacity, args.shrink_evals)
-
-    if args.output:
-        path = Path(args.output)
-        report = (json.loads(path.read_text()) if path.exists() else {})
-        report["fuzz"] = {
-            "seed": args.seed,
-            "budget": args.budget,
-            "arm": args.arm,
-            "specs_executed": stats.executed,
-            "wall_seconds": wall,
-            "specs_per_sec": stats.executed / wall if wall > 0 else 0.0,
-            "corpus_size": len(result.corpus),
-            "distinct_coverage_keys": len(keys),
-            "coverage_keys_per_100_runs": (100.0 * len(keys)
-                                           / max(1, stats.executed)),
-            "violations_found": stats.violating,
-            "duplicates": stats.duplicates,
-            "shrink_evals": stats.shrink_evals,
-            "coverage_digest": result.coverage_digest(),
-        }
-        path.write_text(json.dumps(report, indent=1, sort_keys=True)
-                        + "\n")
-        print(f"wrote fuzz section to {args.output}")
 
     return 1 if failures else 0
 

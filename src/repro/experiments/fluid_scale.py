@@ -12,11 +12,13 @@ events underneath.
 
 The headline is throughput: simulated users per wall-clock second, and
 total integrated arrivals — plus the availability and latency numbers
-that show the analytic traffic still *means* something.  ``make
-bench-fluid`` publishes these into BENCH_sim.json's ``fluid`` section;
-the acceptance bar is finishing under the wall-clock of the default
-event-mode Figure 18 run while modelling ~4 orders of magnitude more
-traffic.
+that show the analytic traffic still *means* something.  The bench
+registry's ``fluid`` entry (``scripts/bench.py --only fluid``) publishes
+these into BENCH_sim.json's ``fluid`` section; its soft gates are
+``fluid.users_per_sec`` (at least 100,000 simulated users per wall
+second) and ``fluid.under_event_fig18_wall``, the acceptance bar of
+finishing under the wall-clock of the default event-mode Figure 18 run
+while modelling ~4 orders of magnitude more traffic.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ and RNG substreams from an explicit seed, so arms share no state.  The
 runner dispatches them over a ``multiprocessing`` pool and aggregates
 per-figure wall-clock and events/second (via
 ``Engine.total_processed_events``, which each worker process accumulates
-locally) into a machine-readable report (``BENCH_sim.json`` from
-``make bench-sim``).
+locally) into a machine-readable report: the ``figures`` section of
+``BENCH_sim.json`` (see :mod:`repro.bench`).
 
 Task functions must be *top-level* (picklable); each returns the
 figure's headline numbers as a plain dict so the report stays
@@ -17,7 +17,6 @@ JSON-serializable.
 from __future__ import annotations
 
 import importlib
-import json
 import multiprocessing
 import os
 import time
@@ -74,27 +73,6 @@ def fig23_task(**kwargs: Any) -> Dict[str, Any]:
     from . import fig23_continuous_lb
     result = fig23_continuous_lb.run(**kwargs)
     return {"max_p99": result.max_p99(), "total_moves": result.total_moves()}
-
-
-def fluid_scale_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fluid_scale
-    result = fluid_scale.run(**kwargs)
-    return {"users": result.users,
-            "sim_seconds": result.sim_seconds,
-            "wall_seconds": result.wall_seconds,
-            "users_per_sec": result.users_per_sec,
-            "sim_rate": result.sim_rate,
-            "arrivals": result.arrivals,
-            "availability": result.availability,
-            "mean_latency_ms": result.mean_latency_ms,
-            "p99_latency_ms": result.p99_latency_ms,
-            "max_utilization": result.max_utilization,
-            "shard_moves": result.shard_moves,
-            "upgrades_run": result.upgrades_run,
-            "epochs": result.epochs,
-            "flows": result.flows,
-            "delta_reprices": result.delta_reprices,
-            "full_reprices": result.full_reprices}
 
 
 def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
@@ -341,19 +319,3 @@ def run_experiments(tasks: Optional[List[Dict[str, Any]]] = None,
                                  if sweep_wall > 0 else 0.0),
         "figures": figures,
     }
-
-
-def attach_baseline(report: Dict[str, Any],
-                    baseline_path: str) -> Dict[str, Any]:
-    """Merge a pre-optimization baseline file and compute speedups."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    report["baseline"] = baseline
-    speedups: Dict[str, float] = {}
-    baseline_figures = baseline.get("figures", {})
-    for name, figure in report["figures"].items():
-        base = baseline_figures.get(name)
-        if base and figure["wall_seconds"] > 0:
-            speedups[name] = base["wall_seconds"] / figure["wall_seconds"]
-    report["speedup_vs_baseline"] = speedups
-    return report
