@@ -80,13 +80,16 @@ class PinnedAllocator(Allocator):
                        load_of=None) -> AllocationPlan:
         """Create missing shards directly at their pinned address."""
         plan = super().emergency_plan(table, servers, now, load_of)
+        if not plan.creates:
+            return plan
         addresses = self._usable_addresses(servers, now)
         if not addresses:
             return plan
-        pins = {shard.shard_id: self.placement(i, shard.shard_id, addresses)
-                for i, shard in enumerate(self.spec.shards)}
+        position = table.key_index.index_of
         plan.creates = [
-            CreateReplica(shard_id=c.shard_id, address=pins[c.shard_id],
+            CreateReplica(shard_id=c.shard_id,
+                          address=self.placement(position[c.shard_id],
+                                                 c.shard_id, addresses),
                           role=c.role)
             for c in plan.creates]
         return plan

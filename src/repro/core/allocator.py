@@ -111,14 +111,25 @@ class Allocator:
         self.search_config = search_config
         self.rng = rng or random.Random(0)
         self.max_moves_per_round = max_moves_per_round
+        #: Shards emergency_plan has visited, summed over calls (always
+        #: on; a healthy app's idle ticks add nothing).
+        self.emergency_shards_examined = 0
 
     # -- emergency mode ----------------------------------------------------------
 
     def emergency_plan(self, table: AssignmentTable,
                        servers: Dict[str, ServerRecord], now: float,
                        load_of: Optional[LoadFn] = None) -> AllocationPlan:
-        """Recreate missing replicas/primaries on usable servers, fast."""
+        """Recreate missing replicas/primaries on usable servers, fast.
+
+        Visits only the table's unhealthy shards, in spec order, so the
+        cost is O(unhealthy shards) and an idle tick on a healthy app
+        costs nothing; healthy shards would plan no action anyway.
+        """
         plan = AllocationPlan()
+        unhealthy = table.unhealthy_shards()
+        if not unhealthy:
+            return plan
         usable = [record for record in servers.values() if record.usable(now)]
         if not usable:
             return plan
@@ -127,21 +138,22 @@ class Allocator:
         # Secondary key on address: deterministic across processes
         # regardless of dict-insertion order.
         target_order = sorted(
-            usable,
-            key=lambda r: (len(table.on_address(r.address)), r.address))
+            usable, key=lambda r: (table.count_on(r.address), r.address))
         placements_this_plan: Dict[str, int] = {r.address: 0 for r in usable}
-        planned_addresses: Dict[str, set] = {}
-        planned_regions: Dict[str, set] = {}
         cursor = 0
 
-        def next_target(shard_id: str,
-                        preferred_region: Optional[str]) -> Optional[str]:
+        def next_target(shard_id: str, preferred_region: Optional[str],
+                        planned_addresses: set,
+                        planned_regions: set) -> Optional[str]:
+            """Pick a target for one more replica of ``shard_id``; the
+            planned sets hold this plan's earlier picks for the shard."""
             nonlocal cursor
-            existing_addresses = {r.address for r in table.replicas_of(shard_id)}
-            existing_addresses |= planned_addresses.get(shard_id, set())
+            existing_addresses = {r.address
+                                  for r in table.replicas_view(shard_id)}
+            existing_addresses |= planned_addresses
             existing_regions = {servers[a].machine.region
                                 for a in existing_addresses if a in servers}
-            existing_regions |= planned_regions.get(shard_id, set())
+            existing_regions |= planned_regions
             best: Optional[ServerRecord] = None
             best_key: Optional[Tuple] = None
             # The region preference is per *shard*, not per replica: once
@@ -170,70 +182,61 @@ class Allocator:
             if best is None:
                 return None
             placements_this_plan[best.address] += 1
-            planned_addresses.setdefault(shard_id, set()).add(best.address)
-            planned_regions.setdefault(shard_id, set()).add(
-                best.machine.region)
+            planned_addresses.add(best.address)
+            planned_regions.add(best.machine.region)
             cursor += 1
             return best.address
 
         dropped_state = ReplicaState.DROPPED
-        primary_role = Role.PRIMARY
         spec_has_primaries = self.spec.has_primaries()
-        replicas_view = table.replicas_view
-        for shard in self.spec.shards:
-            replicas = replicas_view(shard.shard_id)
-            # Fast path for the steady state: enough live replicas and a
-            # primary (when the app wants one) mean nothing below would
-            # plan any action for this shard.
-            live_count = 0
-            has_live_primary = False
-            for r in replicas:
-                if r.state is not dropped_state:
-                    live_count += 1
-                    if r.role is primary_role:
-                        has_live_primary = True
-            if (live_count >= shard.replica_count
-                    and (not spec_has_primaries or has_live_primary)):
-                continue
-            live = [r for r in replicas
-                    if r.state is not ReplicaState.DROPPED]
+        shards = self.spec.shards
+        order = sorted(map(table.key_index.index_of.__getitem__, unhealthy))
+        self.emergency_shards_examined += len(order)
+        promoted: set = set()
+        for position in order:
+            shard = shards[position]
+            shard_id = shard.shard_id
+            live = [r for r in table.replicas_view(shard_id)
+                    if r.state is not dropped_state]
             missing = shard.replica_count - len(live)
+            # Per shard, not per plan: no later shard reads them, so they
+            # die here instead of piling up for the garbage collector.
+            planned_addresses: set = set()
+            planned_regions: set = set()
             for _ in range(max(0, missing)):
-                address = next_target(shard.shard_id, shard.preferred_region)
+                address = next_target(shard_id, shard.preferred_region,
+                                      planned_addresses, planned_regions)
                 if address is None:
                     break  # no capacity anywhere; the next round retries
-                role = Role.SECONDARY
                 plan.creates.append(CreateReplica(
-                    shard_id=shard.shard_id, address=address, role=role))
-            if self.spec.has_primaries():
-                has_primary = any(r.role is Role.PRIMARY for r in live)
-                if not has_primary:
-                    ready_secondary = next(
-                        (r for r in live if r.state is ReplicaState.READY), None)
-                    if ready_secondary is not None:
-                        plan.promotes.append(PromoteReplica(
-                            shard_id=shard.shard_id,
-                            replica_id=ready_secondary.replica_id))
-                    elif not plan.creates or all(
-                            c.shard_id != shard.shard_id for c in plan.creates):
-                        address = next_target(shard.shard_id,
-                                              shard.preferred_region)
-                        if address is not None:
-                            plan.creates.append(CreateReplica(
-                                shard_id=shard.shard_id, address=address,
-                                role=Role.PRIMARY))
+                    shard_id=shard_id, address=address, role=Role.SECONDARY))
+            if spec_has_primaries and not any(
+                    r.role is Role.PRIMARY for r in live):
+                ready_secondary = next(
+                    (r for r in live if r.state is ReplicaState.READY), None)
+                if ready_secondary is not None:
+                    plan.promotes.append(PromoteReplica(
+                        shard_id=shard_id,
+                        replica_id=ready_secondary.replica_id))
+                    promoted.add(shard_id)
+                elif not planned_addresses:
+                    # No create planned for this shard yet.
+                    address = next_target(shard_id, shard.preferred_region,
+                                          planned_addresses, planned_regions)
+                    if address is not None:
+                        plan.creates.append(CreateReplica(
+                            shard_id=shard_id, address=address,
+                            role=Role.PRIMARY))
         # Creates for shards without any live replica in a primary app
         # should bring up a primary directly.
-        if self.spec.has_primaries():
+        if spec_has_primaries:
             primaries_planned = set()
             for index, create in enumerate(plan.creates):
                 shard_id = create.shard_id
-                live = [r for r in table.replicas_of(shard_id)
-                        if r.state is not ReplicaState.DROPPED]
-                has_primary = any(r.role is Role.PRIMARY for r in live)
-                promote_planned = any(p.shard_id == shard_id
-                                      for p in plan.promotes)
-                if (not has_primary and not promote_planned
+                has_primary = any(r.role is Role.PRIMARY
+                                  and r.state is not dropped_state
+                                  for r in table.replicas_view(shard_id))
+                if (not has_primary and shard_id not in promoted
                         and shard_id not in primaries_planned):
                     plan.creates[index] = CreateReplica(
                         shard_id=shard_id, address=create.address,

@@ -113,13 +113,17 @@ class Orchestrator:
         self._started = False
         self._servers_root = SERVERS_PATH.format(app=spec.name)
         self._assignments_root = ASSIGNMENTS_PATH.format(app=spec.name)
-        # Persistence caches: per-address znodes already written at least
-        # once, and the serialized form of each replica (invalidated by
-        # identity/equality checks on the fields it covers).  Both are
-        # per-incarnation — a failover starts a new orchestrator with
-        # empty caches and rewrites everything once.
+        # Persisted views, folded from the table's dirty-replica log (see
+        # _fold_replica_log): per-address znodes already written at
+        # least once; every live replica's serialized state entry in
+        # table order; and per address, each hosted replica's znode
+        # entry (None while not READY/PENDING, to keep its position) in
+        # arrival order.  All per-incarnation — a failover starts a new
+        # orchestrator whose restored table logs every replica afresh.
         self._assignments_written: Set[str] = set()
-        self._replica_ser: Dict[str, tuple] = {}
+        self._state_entries: Dict[str, Dict[str, str]] = {}
+        self._hosted_entries: Dict[
+            str, Dict[str, Optional[Dict[str, str]]]] = {}
         self.publishes = 0
         if self.obs.enabled:
             metrics = self.obs.metrics
@@ -291,6 +295,7 @@ class Orchestrator:
                  "replicas_lost": len(lost)})
         for replica in lost:
             self.table.drop(replica.replica_id)
+        self._fold_replica_log()
         self._write_assignments(address)
         self._mark_dirty()
         self._emergency_tick()
@@ -323,6 +328,7 @@ class Orchestrator:
         # full snapshot riding alongside.
         snapshot, delta = self.table.snapshot_delta()
         self.discovery.publish(snapshot, delta=delta)
+        self._fold_replica_log()
         self._write_all_assignments()
         self._persist_state()
         self.publishes += 1
@@ -332,14 +338,56 @@ class Orchestrator:
                 {"app": self.spec.name, "version": snapshot.version,
                  "entries": snapshot.entry_count})
 
+    def _fold_replica_log(self) -> None:
+        """Bring the persisted views up to date with the table.
+
+        Folds the table's dirty-replica log, so the cost is O(replicas
+        changed since the last fold), not O(replicas).  The views equal
+        a full rebuild from the table, order included: state entries
+        follow the table's insertion order (new replicas are appended in
+        log order, which is their add order) and each address's entries
+        follow its arrival order (replicas that arrived since the last
+        fold are appended by arrival stamp).
+        """
+        log = self.table.consume_dirty_replicas()
+        if not log:
+            return
+        state_entries = self._state_entries
+        hosted = self._hosted_entries
+        find = self.table.find
+        ready = ReplicaState.READY
+        pending = ReplicaState.PENDING
+        arrivals = []
+        for replica_id, arrival in log.items():
+            previous = state_entries.get(replica_id)
+            replica = find(replica_id)
+            if previous is not None and (replica is None or arrival):
+                del hosted[previous["address"]][replica_id]
+            if replica is None:  # dropped
+                if previous is not None:
+                    del state_entries[replica_id]
+                continue
+            state = replica.state
+            state_entries[replica_id] = {
+                "replica_id": replica_id, "shard_id": replica.shard_id,
+                "address": replica.address, "role": replica.role.value,
+                "state": state.value}
+            entry = ({"shard_id": replica.shard_id,
+                      "role": replica.role.value}
+                     if state is ready or state is pending else None)
+            if arrival:
+                arrivals.append((arrival, replica_id, replica.address, entry))
+            else:
+                hosted[replica.address][replica_id] = entry
+        arrivals.sort()
+        for _arrival, replica_id, address, entry in arrivals:
+            hosted.setdefault(address, {})[replica_id] = entry
+
     def _write_assignments(self, address: str) -> None:
         name = address.replace("/", ":")
         path = f"{self._assignments_root}/{name}"
-        ready = ReplicaState.READY
-        pending = ReplicaState.PENDING
-        data = [{"shard_id": r.shard_id, "role": r.role.value}
-                for r in self.table.on_address(address)
-                if r.state is ready or r.state is pending]
+        entries = self._hosted_entries.get(address)
+        data = list(filter(None, entries.values())) if entries else []
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:
@@ -350,46 +398,27 @@ class Orchestrator:
         # Only addresses whose hosted replicas changed since the last
         # write need a new znode value; nothing watches these nodes (app
         # servers read them once at bootstrap), so skipping an identical
-        # rewrite is unobservable.  Every address still gets one initial
-        # write so the znode exists before any server bootstraps from it.
-        dirty = self.table.consume_dirty_addresses()
+        # rewrite is unobservable.  Every server still gets one initial
+        # write so the znode exists before it bootstraps from it.  An
+        # address hosting replicas was marked dirty when it got them, so
+        # dirty addresses plus never-written servers cover every write.
+        servers = self.servers
         written = self._assignments_written
-        for address in set(self.table.addresses()) | set(self.servers):
-            if address in written and address not in dirty:
-                continue
+        due = {address for address in self.table.consume_dirty_addresses()
+               if address in servers or self.table.count_on(address)}
+        due.update(address for address in servers if address not in written)
+        for address in sorted(due):
             self._write_assignments(address)
 
     def _persist_state(self) -> None:
         """Orchestrator persistent state lives in ZooKeeper (§3.2).
 
-        Serialized replica dicts are cached per replica and reused while
-        the covered fields (role, state, address) are unchanged —
-        publishes touch a handful of replicas but persist all of them.
+        The replica list is the folded state view: a successor's
+        ``_restore_state`` replays it in order.
         """
         path = STATE_PATH.format(app=self.spec.name)
-        cache = self._replica_ser
-        replicas = []
-        append = replicas.append
-        for r in self.table.all_replicas():
-            cached = cache.get(r.replica_id)
-            if (cached is not None and cached[0] is r.role
-                    and cached[1] is r.state and cached[2] == r.address):
-                append(cached[3])
-            else:
-                serialized = {"replica_id": r.replica_id,
-                              "shard_id": r.shard_id,
-                              "address": r.address, "role": r.role.value,
-                              "state": r.state.value}
-                cache[r.replica_id] = (r.role, r.state, r.address,
-                                       serialized)
-                append(serialized)
-        if len(cache) > 2 * len(replicas) + 64:
-            # Prune entries for dropped replicas so the cache stays
-            # proportional to the live table.
-            live = {r.replica_id for r in self.table.all_replicas()}
-            for replica_id in [k for k in cache if k not in live]:
-                del cache[replica_id]
-        data = {"version": self.table.last_version, "replicas": replicas}
+        data = {"version": self.table.last_version,
+                "replicas": list(self._state_entries.values())}
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:

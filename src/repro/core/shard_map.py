@@ -136,12 +136,13 @@ class AppKeyIndex:
         self.shard_ids: Tuple[str, ...] = tuple(shard_ids)
         self.key_lows = array("q", key_lows)
         self.key_highs = array("q", key_highs)
-        self.index_of: Dict[str, int] = {
-            shard_id: i for i, shard_id in enumerate(self.shard_ids)}
+        self.index_of: Dict[str, int] = dict(
+            zip(self.shard_ids, range(len(self.shard_ids))))
         lows = self.key_lows
         self.sorted_order: Tuple[int, ...] = tuple(
             sorted(range(len(self.shard_ids)), key=lows.__getitem__))
-        self.sorted_lows = array("q", (lows[i] for i in self.sorted_order))
+        # sorted_order sorts by low, so these are the lows in that order.
+        self.sorted_lows = array("q", sorted(lows))
 
     @classmethod
     def from_spec(cls, spec: AppSpec) -> "AppKeyIndex":
@@ -430,7 +431,9 @@ class AssignmentTable:
         self._replicas: Dict[str, ReplicaAssignment] = {}
         self._by_shard: Dict[str, List[ReplicaAssignment]] = {
             shard.shard_id: [] for shard in spec.shards}
-        self._by_address: Dict[str, List[ReplicaAssignment]] = {}
+        # Per address, its replicas in arrival order (dicts keyed by
+        # replica id: O(1) removal, same order as an append-only list).
+        self._by_address: Dict[str, Dict[str, ReplicaAssignment]] = {}
         self._version = itertools.count(1)
         self.last_version = 0
         self._replica_counter = itertools.count()
@@ -455,6 +458,20 @@ class AssignmentTable:
         # role/state) changed since the orchestrator last persisted
         # per-address assignments; consumed by consume_dirty_addresses.
         self._dirty_addresses: set = set()
+        # Replicas mutated since the orchestrator last folded them into
+        # its persisted state, in first-touch order: replica id -> the
+        # stamp of its latest arrival on an address (add or relocate),
+        # 0 when it has not arrived anywhere since the last fold.
+        # Consumed by consume_dirty_replicas.
+        self._dirty_replicas: Dict[str, int] = {}
+        self._arrivals = itertools.count(1)
+        # Shards emergency placement must look at (§5.1): fewer live
+        # (non-DROPPED) replicas than replica_count, or no live primary
+        # in an app that needs one.  Every shard starts with no replicas.
+        self._unhealthy: set = set(self._by_shard)
+        self._needs_primary = spec.has_primaries()
+        #: Replicas currently READY (deploy health, O(1) to read).
+        self.ready_count = 0
 
     def resume_versions_from(self, version: int) -> None:
         """Continue version numbering after a control-plane failover so
@@ -477,11 +494,16 @@ class AssignmentTable:
             role=role,
             state=state,
         )
-        self._replicas[replica.replica_id] = replica
+        replica_id = replica.replica_id
+        self._replicas[replica_id] = replica
         self._by_shard[shard_id].append(replica)
-        self._by_address.setdefault(address, []).append(replica)
+        self._by_address.setdefault(address, {})[replica_id] = replica
         self._dirty.add(shard_id)
         self._dirty_addresses.add(address)
+        self._dirty_replicas[replica_id] = next(self._arrivals)
+        if state is ReplicaState.READY:
+            self.ready_count += 1
+        self._recheck_health(shard_id)
         if self.tracer.enabled:
             self._trace_transition("add", replica)
         return replica
@@ -495,27 +517,55 @@ class AssignmentTable:
             "address": replica.address, "role": replica.role.value,
             "state": replica.state.value})
 
+    def _recheck_health(self, shard_id: str) -> None:
+        """Re-derive one shard's membership in the unhealthy set — the
+        predicate emergency placement's fast path used to evaluate for
+        every shard on every tick."""
+        live = 0
+        has_primary = False
+        for replica in self._by_shard[shard_id]:
+            if replica.state is not ReplicaState.DROPPED:
+                live += 1
+                if replica.role is Role.PRIMARY:
+                    has_primary = True
+        shard = self.spec.shards[self._key_index.index_of[shard_id]]
+        if (live >= shard.replica_count
+                and (has_primary or not self._needs_primary)):
+            self._unhealthy.discard(shard_id)
+        else:
+            self._unhealthy.add(shard_id)
+
+    def _leave_address(self, replica: ReplicaAssignment) -> None:
+        bucket = self._by_address[replica.address]
+        del bucket[replica.replica_id]
+        if not bucket:
+            del self._by_address[replica.address]
+
     def drop(self, replica_id: str) -> None:
         replica = self._replicas.pop(replica_id, None)
         if replica is None:
             return
+        if replica.state is ReplicaState.READY:
+            self.ready_count -= 1
         replica.state = ReplicaState.DROPPED
         self._by_shard[replica.shard_id].remove(replica)
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
-        bucket = self._by_address.get(replica.address, [])
-        if replica in bucket:
-            bucket.remove(replica)
-            if not bucket:
-                del self._by_address[replica.address]
+        self._dirty_replicas.setdefault(replica_id, 0)
+        self._leave_address(replica)
+        self._recheck_health(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("drop", replica)
 
     def set_state(self, replica_id: str, state: ReplicaState) -> None:
         replica = self._replicas[replica_id]
+        ready = ReplicaState.READY
+        self.ready_count += (state is ready) - (replica.state is ready)
         replica.state = state
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.setdefault(replica_id, 0)
+        self._recheck_health(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_state", replica)
 
@@ -530,21 +580,22 @@ class AssignmentTable:
         replica.role = role
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.setdefault(replica_id, 0)
+        self._recheck_health(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_role", replica)
 
     def relocate(self, replica_id: str, new_address: str) -> None:
+        # Health is unchanged: a relocation keeps the replica's role
+        # and state.
         replica = self._replicas[replica_id]
         self._dirty_addresses.add(replica.address)
-        bucket = self._by_address.get(replica.address, [])
-        if replica in bucket:
-            bucket.remove(replica)
-            if not bucket:
-                del self._by_address[replica.address]
+        self._leave_address(replica)
         replica.address = new_address
-        self._by_address.setdefault(new_address, []).append(replica)
+        self._by_address.setdefault(new_address, {})[replica_id] = replica
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(new_address)
+        self._dirty_replicas[replica_id] = next(self._arrivals)
         if self.tracer.enabled:
             self._trace_transition("relocate", replica)
 
@@ -552,6 +603,22 @@ class AssignmentTable:
 
     def get(self, replica_id: str) -> ReplicaAssignment:
         return self._replicas[replica_id]
+
+    def find(self, replica_id: str) -> Optional[ReplicaAssignment]:
+        """The live replica with this id, or None once it was dropped."""
+        return self._replicas.get(replica_id)
+
+    @property
+    def key_index(self) -> AppKeyIndex:
+        """The spec's static layout; ``index_of`` maps a shard id to its
+        position in ``spec.shards``."""
+        return self._key_index
+
+    def unhealthy_shards(self) -> set:
+        """Shards with fewer live replicas than ``replica_count`` or,
+        in an app with primaries, no live primary — read-only by
+        contract, like :meth:`replicas_view`."""
+        return self._unhealthy
 
     def replicas_of(self, shard_id: str) -> List[ReplicaAssignment]:
         return list(self._by_shard[shard_id])
@@ -575,6 +642,20 @@ class AssignmentTable:
         self._dirty_addresses = set()
         return dirty
 
+    def consume_dirty_replicas(self) -> Dict[str, int]:
+        """Replicas touched since the last call, in first-touch order.
+
+        Maps each replica id to the stamp of its latest arrival on an
+        address since the last call (``add`` or ``relocate``; stamps
+        grow with every arrival), or 0 when its address did not change.
+        A dropped replica is no longer :meth:`find`-able.  Returns the
+        accumulated log and resets it; the orchestrator folds it into
+        its persisted state (see ``Orchestrator._fold_replica_log``).
+        """
+        dirty = self._dirty_replicas
+        self._dirty_replicas = {}
+        return dirty
+
     def primary_of(self, shard_id: str) -> Optional[ReplicaAssignment]:
         for replica in self._by_shard[shard_id]:
             if replica.role is Role.PRIMARY:
@@ -582,10 +663,13 @@ class AssignmentTable:
         return None
 
     def on_address(self, address: str) -> List[ReplicaAssignment]:
-        return list(self._by_address.get(address, []))
+        bucket = self._by_address.get(address)
+        return list(bucket.values()) if bucket else []
 
-    def addresses(self) -> List[str]:
-        return list(self._by_address)
+    def count_on(self, address: str) -> int:
+        """``len(on_address(address))`` without building the list."""
+        bucket = self._by_address.get(address)
+        return len(bucket) if bucket else 0
 
     def all_replicas(self) -> List[ReplicaAssignment]:
         return list(self._replicas.values())

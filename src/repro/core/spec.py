@@ -172,7 +172,14 @@ class AppSpec:
         raise KeyError(f"app {self.name}: no shard covers key {key}")
 
     def total_replicas(self) -> int:
-        return sum(shard.replica_count for shard in self.shards)
+        """Desired replicas over all shards, cached like :meth:`shard`
+        (deploy loops poll it every simulated second)."""
+        cached = self.__dict__.get("_total_replicas")
+        if cached is None or cached[0] is not self.shards:
+            cached = (self.shards,
+                      sum(shard.replica_count for shard in self.shards))
+            self.__dict__["_total_replicas"] = cached
+        return cached[1]
 
     def has_primaries(self) -> bool:
         return self.replication is not ReplicationStrategy.SECONDARY_ONLY

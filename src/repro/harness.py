@@ -167,8 +167,7 @@ class DeployedApp:
     def ready_fraction(self) -> float:
         """Fraction of desired replicas that are READY (deploy health)."""
         desired = self.spec.total_replicas()
-        ready = sum(1 for r in self.orchestrator.table.all_replicas()
-                    if r.available)
+        ready = self.orchestrator.table.ready_count
         return ready / desired if desired else 1.0
 
 

@@ -1,10 +1,13 @@
 """Unit tests for the orchestrator, migration executor and TaskController,
 run against the full harness (they are meaningless without live servers)."""
 
+import random
+
 import pytest
 
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
-from repro.core.orchestrator import OrchestratorConfig
+from repro.core.allocator import ServerRecord
+from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.shard_map import ReplicaState, Role
 from repro.core.spec import (
     AppSpec,
@@ -253,3 +256,167 @@ class TestMaintenanceNotices:
         cluster.run(until=cluster.engine.now + 85.0)
         assert app.orchestrator.shards_on(victim.address) == []
         assert app.ready_fraction() == 1.0
+
+
+class FullRebuildModel:
+    """What the orchestrator persisted before its dirty-replica log: every
+    publish rebuilt ``/sm/<app>/state`` from the whole table, and each
+    changed (or never written) address's znode from that address's
+    replica list.  The model keeps its own list-based replica orders, so
+    it does not lean on the table's bookkeeping under test."""
+
+    def __init__(self, table):
+        self.table = table
+        self.order = []            # replica ids, in add order
+        self.by_address = {}       # address -> replica ids, arrival order
+        self.dirty = set()
+        self.written = set()
+        self.znodes = {}
+
+    # Mutations go through the table and the model together.
+    def add(self, shard_id, address, role, state):
+        replica = self.table.add(shard_id, address, role, state=state)
+        self.order.append(replica.replica_id)
+        self.by_address.setdefault(address, []).append(replica.replica_id)
+        self.dirty.add(address)
+
+    def drop(self, replica_id):
+        address = self.table.get(replica_id).address
+        self.table.drop(replica_id)
+        self._forget(replica_id, address)
+
+    def _forget(self, replica_id, address):
+        self.order.remove(replica_id)
+        self.by_address[address].remove(replica_id)
+        self.dirty.add(address)
+
+    def touch(self, replica_id):
+        self.dirty.add(self.table.get(replica_id).address)
+
+    def relocate(self, replica_id, address):
+        old = self.table.get(replica_id).address
+        self.table.relocate(replica_id, address)
+        self.by_address[old].remove(replica_id)
+        self.by_address.setdefault(address, []).append(replica_id)
+        self.dirty.update((old, address))
+
+    # The full rebuilds.
+    def state(self):
+        return {"version": self.table.last_version, "replicas": [
+            {"replica_id": r.replica_id, "shard_id": r.shard_id,
+             "address": r.address, "role": r.role.value,
+             "state": r.state.value}
+            for r in map(self.table.get, self.order)]}
+
+    def hosted(self, address):
+        return [{"shard_id": r.shard_id, "role": r.role.value}
+                for r in map(self.table.get, self.by_address.get(address, []))
+                if r.state in (ReplicaState.READY, ReplicaState.PENDING)]
+
+    def publish(self, servers):
+        union = {a for a, ids in self.by_address.items() if ids}
+        for address in union | set(servers):
+            if address in self.written and address not in self.dirty:
+                continue
+            self.znodes[address] = self.hosted(address)
+            self.written.add(address)
+        self.dirty.clear()
+
+    def failover(self, address):
+        for replica_id in list(self.by_address.get(address, [])):
+            self._forget(replica_id, address)
+        self.znodes[address] = self.hosted(address)
+        self.written.add(address)
+
+
+def _assert_persisted(cluster, model):
+    zookeeper = cluster.zookeeper
+    assert zookeeper.get("/sm/app/state") == model.state()
+    names = zookeeper.children("/sm/app/assignments")
+    assert {name.replace(":", "/") for name in names} == set(model.znodes)
+    for address, expected in model.znodes.items():
+        name = address.replace("/", ":")
+        assert zookeeper.get(f"/sm/app/assignments/{name}") == expected
+
+
+class TestPersistedState:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_znodes_equal_full_rebuild_and_restore(self, seed):
+        rng = random.Random(seed)
+        cluster = SimCluster.build(regions=("FRC", "PRN"),
+                                   machines_per_region=3, seed=seed)
+        spec = AppSpec(name="app",
+                       shards=uniform_shards(8, 80, replica_count=2),
+                       replication=ReplicationStrategy.PRIMARY_SECONDARY)
+        orchestrator = Orchestrator(
+            cluster.engine, cluster.network, cluster.zookeeper,
+            cluster.discovery, spec, cluster.topology)
+        orchestrator.start()
+        # The engine never runs: every table change below is ours, and
+        # the failover path plans no emergency work.
+        orchestrator._emergency_running = True
+        table = orchestrator.table
+        model = FullRebuildModel(table)
+        machines = list(cluster.topology.machines)
+        # Four server records (added over time) and two addresses no
+        # record knows.
+        addresses = [f"{m.region}/app/{i}" for i, m in enumerate(machines)]
+        pending_servers = list(zip(addresses[:4], machines[:4]))
+        states = list(ReplicaState)
+        for _step in range(120):
+            replicas = table.all_replicas()
+            op = rng.randrange(8)
+            if op <= 1 or not replicas:
+                shard_id = rng.choice(spec.shards).shard_id
+                role = (Role.PRIMARY if rng.random() < 0.5
+                        and table.primary_of(shard_id) is None
+                        else Role.SECONDARY)
+                model.add(shard_id, rng.choice(addresses), role,
+                          rng.choice(states))
+                continue
+            replica = rng.choice(replicas)
+            if op == 2:
+                model.drop(replica.replica_id)
+            elif op == 3:
+                model.touch(replica.replica_id)
+                table.set_state(replica.replica_id, rng.choice(states))
+            elif op == 4:
+                current = table.primary_of(replica.shard_id)
+                role = (Role.PRIMARY if current is None else Role.SECONDARY)
+                if current is not None and current is not replica:
+                    continue
+                model.touch(replica.replica_id)
+                table.set_role(replica.replica_id, role)
+            elif op == 5:
+                model.relocate(replica.replica_id, rng.choice(addresses))
+            elif op == 6:
+                if pending_servers and rng.random() < 0.5:
+                    address, machine = pending_servers.pop()
+                    orchestrator.servers[address] = ServerRecord(
+                        address=address, machine=machine)
+                orchestrator._dirty = True
+                orchestrator._flush_publish()
+                model.publish(orchestrator.servers)
+                _assert_persisted(cluster, model)
+            else:
+                address = replica.address
+                model.failover(address)
+                orchestrator._failover_address(address)
+                name = address.replace("/", ":")
+                assert cluster.zookeeper.get(
+                    f"/sm/app/assignments/{name}") == model.znodes[address]
+        orchestrator._dirty = True
+        orchestrator._flush_publish()
+        model.publish(orchestrator.servers)
+        _assert_persisted(cluster, model)
+
+        orchestrator.stop()
+        successor = orchestrator.successor()
+        successor.start()
+        expected = [(r.shard_id, r.address, r.role, r.state)
+                    for r in map(table.get, model.order)
+                    if r.state not in (ReplicaState.DROPPED,
+                                       ReplicaState.DRAINING)]
+        assert [(r.shard_id, r.address, r.role, r.state)
+                for r in successor.table.all_replicas()] == expected
+        assert successor.table.last_version == table.last_version
